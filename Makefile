@@ -25,7 +25,12 @@
 #                   BENCH_9.json baseline via `benchjson compare`; the
 #                   threshold is loose (2.5x) because CI runners are
 #                   noisy — it catches order-of-magnitude regressions,
-#                   not percent drift
+#                   not percent drift. go test suffixes each name with
+#                   -P (GOMAXPROCS) when P > 1, so a candidate from a
+#                   multi-core host (BenchmarkColdRebuild-2) matches the
+#                   nproc-1 baseline's bare name when the name without
+#                   the suffix is unique in both documents; -cpu sweeps
+#                   still match variant by variant
 #   make bench-smoke — compile and run every benchmark exactly once, so
 #                   CI catches a benchmark that no longer builds or
 #                   crashes without paying for a timed run

@@ -13,9 +13,12 @@
 //
 // The compare mode is the CI perf-regression gate: it reports the
 // new/old ns/op and allocs/op ratios for every benchmark present in both
-// documents and fails when any ratio exceeds the threshold. Benchmarks
-// present in only one document are listed but never gate (adding or
-// retiring a benchmark is not a regression).
+// documents and fails when any ratio exceeds the threshold. A benchmark
+// is present in both when its name matches exactly, or when it matches
+// with the -P GOMAXPROCS suffix removed and that base name is unique in
+// each document (see compareDocs). Benchmarks present in only one
+// document are listed but never gate (adding or retiring a benchmark is
+// not a regression).
 //
 // Exit codes: 0 clean, 1 regression past threshold (compare mode),
 // 2 failed (no benchmark lines on stdin, unreadable input, I/O error).
@@ -97,33 +100,82 @@ func run() int {
 	return fault.ExitClean
 }
 
-// compareRow is one benchmark's old-vs-new comparison. Ratios are
-// new/old, so 1.0 is unchanged and 2.0 is twice as slow (or twice the
-// allocations); AllocsRatio is 0 when the old run recorded no
+// compareRow is one benchmark's old-vs-new comparison. Name is the
+// candidate's benchmark name and OldName the baseline's; they differ only
+// when the pair was matched across the -P suffix (see compareDocs).
+// Ratios are new/old, so 1.0 is unchanged and 2.0 is twice as slow (or
+// twice the allocations); AllocsRatio is 0 when the old run recorded no
 // allocations for the row (nothing to regress against).
 type compareRow struct {
-	Name         string
-	OldNs, NewNs float64
-	NsRatio      float64
-	AllocsRatio  float64
-	Regressed    bool
+	Name, OldName string
+	OldNs, NewNs  float64
+	NsRatio       float64
+	AllocsRatio   float64
+	Regressed     bool
 }
 
-// compareDocs builds sorted comparison rows for every benchmark present
-// in both documents, marking rows whose ns/op or allocs/op ratio exceeds
-// threshold. Benchmarks present in only one document never gate.
-func compareDocs(oldDoc, newDoc *document, threshold float64) []compareRow {
-	names := make([]string, 0, len(oldDoc.Benchmarks))
-	for name := range oldDoc.Benchmarks {
-		if _, ok := newDoc.Benchmarks[name]; ok {
-			names = append(names, name)
+// baseName strips the -P GOMAXPROCS suffix go test appends to a
+// benchmark name when P > 1 ("BenchmarkX-8" → "BenchmarkX"); a name
+// without one is returned unchanged.
+func baseName(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
 		}
+	}
+	return name[:i]
+}
+
+// uniqueBases maps every base name that exactly one benchmark in the
+// document carries to that benchmark's full name.
+func uniqueBases(doc *document) map[string]string {
+	count := make(map[string]int, len(doc.Benchmarks))
+	for name := range doc.Benchmarks {
+		count[baseName(name)]++
+	}
+	out := make(map[string]string, len(count))
+	for name := range doc.Benchmarks {
+		if base := baseName(name); count[base] == 1 {
+			out[base] = name
+		}
+	}
+	return out
+}
+
+// compareDocs builds comparison rows, sorted by candidate name, for every
+// benchmark present in both documents, marking rows whose ns/op or
+// allocs/op ratio exceeds threshold. Names match exactly first. A
+// candidate benchmark absent from the baseline under its exact name falls
+// back to its base name (the -P suffix removed), provided that base name
+// is unique in each document: a baseline recorded at GOMAXPROCS 1
+// (BenchmarkX) then still gates a candidate from a multi-core host
+// (BenchmarkX-2), while -cpu sweeps, which put several variants of one
+// base name in a document, stay matched exactly. Benchmarks present in
+// only one document never gate.
+func compareDocs(oldDoc, newDoc *document, threshold float64) []compareRow {
+	oldBases, newBases := uniqueBases(oldDoc), uniqueBases(newDoc)
+	names := make([]string, 0, len(newDoc.Benchmarks))
+	for name := range newDoc.Benchmarks {
+		names = append(names, name)
 	}
 	sort.Strings(names)
 	rows := make([]compareRow, 0, len(names))
 	for _, name := range names {
-		o, n := oldDoc.Benchmarks[name], newDoc.Benchmarks[name]
-		row := compareRow{Name: name, OldNs: o.NsPerOp, NewNs: n.NsPerOp}
+		oldName := name
+		if _, ok := oldDoc.Benchmarks[name]; !ok {
+			base := baseName(name)
+			match, unique := oldBases[base]
+			if !unique || newBases[base] != name {
+				continue
+			}
+			oldName = match
+		}
+		o, n := oldDoc.Benchmarks[oldName], newDoc.Benchmarks[name]
+		row := compareRow{Name: name, OldName: oldName, OldNs: o.NsPerOp, NewNs: n.NsPerOp}
 		if o.NsPerOp > 0 {
 			row.NsRatio = n.NsPerOp / o.NsPerOp
 		}
@@ -177,30 +229,41 @@ func runCompare(args []string) int {
 		log.Print(err)
 		return fault.ExitFailed
 	}
+	// The processor counts frame the ratios: GOMAXPROCS follows nproc,
+	// and with it the -P suffix on every candidate name.
+	fmt.Printf("baseline %s (nproc %d) vs candidate %s (nproc %d)\n",
+		*oldPath, oldDoc.NProc, *newPath, newDoc.NProc)
 	rows := compareDocs(oldDoc, newDoc, *threshold)
 	if len(rows) == 0 {
 		log.Printf("compare: no common benchmarks between %s and %s", *oldPath, *newPath)
 		return fault.ExitFailed
 	}
 	regressed := 0
+	matchedOld := make(map[string]bool, len(rows))
+	matchedNew := make(map[string]bool, len(rows))
 	for _, row := range rows {
+		matchedOld[row.OldName], matchedNew[row.Name] = true, true
 		mark := "ok"
 		if row.Regressed {
 			mark = "REGRESSED"
 			regressed++
 		}
+		label := row.Name
+		if row.OldName != row.Name {
+			label += " (baseline " + row.OldName + ")"
+		}
 		fmt.Printf("%-40s ns/op %12.0f -> %12.0f (%.2fx)  allocs %.2fx  %s\n",
-			row.Name, row.OldNs, row.NewNs, row.NsRatio, row.AllocsRatio, mark)
+			label, row.OldNs, row.NewNs, row.NsRatio, row.AllocsRatio, mark)
 	}
 	// Non-gating context rows, sorted so the report is byte-stable.
 	var only []string
 	for name := range oldDoc.Benchmarks {
-		if _, ok := newDoc.Benchmarks[name]; !ok {
+		if !matchedOld[name] {
 			only = append(only, name+" retired (baseline only)")
 		}
 	}
 	for name := range newDoc.Benchmarks {
-		if _, ok := oldDoc.Benchmarks[name]; !ok {
+		if !matchedNew[name] {
 			only = append(only, name+" new (candidate only)")
 		}
 	}

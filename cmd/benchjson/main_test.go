@@ -1,8 +1,13 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"svtiming/internal/fault"
 )
 
 const sample = `goos: linux
@@ -122,6 +127,97 @@ func TestParseThenCompare(t *testing.T) {
 	for _, row := range rows {
 		if row.Regressed {
 			t.Fatalf("self-compare regressed: %+v", row)
+		}
+	}
+}
+
+// A baseline recorded at GOMAXPROCS 1 carries bare names; a candidate
+// from a multi-core host carries the -P suffix. The pair must still gate.
+func TestCompareDocsAcrossProcSuffix(t *testing.T) {
+	oldDoc := docOf(map[string]result{
+		"BenchmarkColdRebuild": {NsPerOp: 1000, AllocsPerOp: 100},
+		"BenchmarkEditApply":   {NsPerOp: 100, AllocsPerOp: 10},
+	})
+	oldDoc.NProc = 1
+	newDoc := docOf(map[string]result{
+		"BenchmarkColdRebuild-2": {NsPerOp: 1200, AllocsPerOp: 100},
+		"BenchmarkEditApply-2":   {NsPerOp: 90, AllocsPerOp: 10},
+	})
+	newDoc.NProc = 2
+	rows := compareDocs(oldDoc, newDoc, 2.5)
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2 (suffix-stripped names must match): %+v", len(rows), rows)
+	}
+	want := []compareRow{
+		{Name: "BenchmarkColdRebuild-2", OldName: "BenchmarkColdRebuild", OldNs: 1000, NewNs: 1200, NsRatio: 1.2, AllocsRatio: 1},
+		{Name: "BenchmarkEditApply-2", OldName: "BenchmarkEditApply", OldNs: 100, NewNs: 90, NsRatio: 0.9, AllocsRatio: 1},
+	}
+	for i, row := range rows {
+		if row != want[i] {
+			t.Errorf("row %d = %+v, want %+v", i, row, want[i])
+		}
+	}
+}
+
+func writeDoc(t *testing.T, dir, name string, doc *document) string {
+	t.Helper()
+	buf, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, name)
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// The suffix fallback must not blunt the gate: a regression between a
+// bare baseline name and a suffixed candidate still exits 1, and the
+// clean pair still exits 0.
+func TestRunCompareAcrossProcSuffix(t *testing.T) {
+	dir := t.TempDir()
+	oldPath := writeDoc(t, dir, "old.json", &document{NProc: 1, Benchmarks: map[string]result{
+		"BenchmarkColdRebuild": {NsPerOp: 1000, AllocsPerOp: 100},
+	}})
+	cleanPath := writeDoc(t, dir, "clean.json", &document{NProc: 2, Benchmarks: map[string]result{
+		"BenchmarkColdRebuild-2": {NsPerOp: 1100, AllocsPerOp: 100},
+	}})
+	slowPath := writeDoc(t, dir, "slow.json", &document{NProc: 2, Benchmarks: map[string]result{
+		"BenchmarkColdRebuild-2": {NsPerOp: 3000, AllocsPerOp: 100},
+	}})
+	if code := runCompare([]string{"-old", oldPath, "-new", cleanPath, "-threshold", "2.5"}); code != fault.ExitClean {
+		t.Errorf("clean pair across suffixes: exit %d, want %d", code, fault.ExitClean)
+	}
+	if code := runCompare([]string{"-old", oldPath, "-new", slowPath, "-threshold", "2.5"}); code != fault.ExitDegraded {
+		t.Errorf("3x regression across suffixes: exit %d, want %d", code, fault.ExitDegraded)
+	}
+}
+
+// A -cpu sweep puts several variants of one base name in a document;
+// each variant must match its exact counterpart only, and a variant with
+// no exact counterpart must not fall back onto a sibling.
+func TestCompareDocsCPUVariantsMatchExactly(t *testing.T) {
+	oldDoc := docOf(map[string]result{
+		"BenchmarkX":   {NsPerOp: 1000},
+		"BenchmarkX-2": {NsPerOp: 600},
+		"BenchmarkX-4": {NsPerOp: 400},
+		"BenchmarkY-8": {NsPerOp: 50},
+	})
+	newDoc := docOf(map[string]result{
+		"BenchmarkX":   {NsPerOp: 1000},
+		"BenchmarkX-2": {NsPerOp: 600},
+		"BenchmarkX-8": {NsPerOp: 300},
+		"BenchmarkY-2": {NsPerOp: 80},
+		"BenchmarkY-4": {NsPerOp: 70},
+	})
+	rows := compareDocs(oldDoc, newDoc, 1.5)
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2 (only the exact -cpu variants match): %+v", len(rows), rows)
+	}
+	for i, name := range []string{"BenchmarkX", "BenchmarkX-2"} {
+		if rows[i].Name != name || rows[i].OldName != name || rows[i].NsRatio != 1 {
+			t.Errorf("row %d = %+v, want an exact %s match", i, rows[i], name)
 		}
 	}
 }

@@ -154,6 +154,23 @@ func TestServiceSmoke(t *testing.T) {
 	}
 }
 
+// batchesAdmitted reads the daemon's service_batches_total counter.
+func batchesAdmitted(t *testing.T, base string) int64 {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/metrics")
+	if err != nil {
+		t.Fatalf("metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	var snap struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("metrics body: %v", err)
+	}
+	return snap.Counters["service_batches_total"]
+}
+
 // TestDrainUnderStorm exercises the resilience surface on the real
 // binary over real sockets: with a single admission slot and no queue,
 // a long-running batch pins the service while (a) concurrent runs are
@@ -214,6 +231,24 @@ func TestDrainUnderStorm(t *testing.T) {
 		}
 		batchDone <- batchResult{status: resp.StatusCode, body: body, err: err}
 	}()
+
+	// Probe only once the batch holds the slot: with one slot and no
+	// queue, a probe that wins the race to admission sheds the batch
+	// itself. runBatch counts service_batches_total only after admit,
+	// and /v1/metrics bypasses admission, so polling it cannot steal the
+	// slot. A batch that answers first never held the slot.
+	for deadline := time.Now().Add(15 * time.Second); batchesAdmitted(t, d.base) < 1; {
+		select {
+		case res := <-batchDone:
+			t.Fatalf("batch answered before it was admitted: status %d: %.200s (err %v)",
+				res.status, res.body, res.err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("batch never admitted: service_batches_total stayed 0")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 
 	// Wait until the batch actually holds the slot: a probe run must
 	// come back 429 with Retry-After and the JSON error schema.

@@ -17,17 +17,23 @@
 //
 //   - First-error cancellation. The reported error is the one with the
 //     LOWEST input index — exactly the error a serial loop would have hit
-//     first — and the shared context is cancelled so in-flight siblings
-//     can bail early. Workers never start items after cancellation.
+//     first. Each worker runs under its own context derived from the
+//     caller's, and a failure at index i cancels only the workers holding
+//     items above i, so those siblings can bail early. Siblings below i —
+//     items a serial loop would have finished first — run to their real
+//     outcome under the caller's context, never observing the pool's own
+//     cancellation. No item above the failing index is claimed after the
+//     failure; cancelling the caller's context stops every worker.
 //
 //   - Panic containment. A panicking item never kills the process or
 //     leaks a deadlocked pool: the panic is recovered at the worker
 //     boundary and converted to a *fault.Panic error (worker index, item
 //     index, recovered value, stack) that flows through the normal
 //     lowest-index-error machinery — so a panic at item 7 and a returned
-//     error at item 7 are indistinguishable to callers, and siblings are
-//     cancelled either way. This is the only place in the tree allowed to
-//     call recover (enforced by svlint's nakedrecover analyzer).
+//     error at item 7 are indistinguishable to callers, and siblings
+//     above it are cancelled either way. This is the only place in the
+//     tree allowed to call recover (enforced by svlint's nakedrecover
+//     analyzer).
 package par
 
 import (
@@ -106,7 +112,9 @@ func Workers(n int) int {
 // Map runs fn(ctx, i) for i in [0, n) across a bounded worker pool and
 // returns the results in index order. On error it returns the
 // lowest-index error (the one a serial loop would report) and cancels the
-// context passed to still-running siblings. A nil ctx means Background.
+// contexts of still-running siblings above the failing index; siblings
+// below it keep running under the caller's context, so an error of their
+// own still wins. A nil ctx means Background.
 func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -135,55 +143,75 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 		return out, nil
 	}
 
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
+	// Each worker runs under its own context derived from the caller's.
+	// Claims and cancellations share mu, so a worker either claims its
+	// item before a failure (and is cancelled by it if the item lies
+	// above) or sees the failure when it claims (and stops). Every slot
+	// is filled before the first worker starts: fail reads them all.
 	var (
-		next   atomic.Int64 // next index to claim
-		mu     sync.Mutex
-		errIdx = n // lowest index that failed so far
-		first  error
+		mu      sync.Mutex
+		next    int // next index to claim
+		errIdx  = n // lowest index that failed so far
+		first   error
+		held    = make([]int, w) // item each worker holds (-1: none yet)
+		wctxs   = make([]context.Context, w)
+		cancels = make([]context.CancelFunc, w)
 	)
+	for g := range held {
+		held[g] = -1
+		wctxs[g], cancels[g] = context.WithCancel(ctx)
+	}
+	defer func() {
+		for _, cancel := range cancels {
+			cancel()
+		}
+	}()
 	fail := func(i int, err error) {
 		mu.Lock()
-		if i < errIdx {
-			errIdx, first = i, err
+		defer mu.Unlock()
+		if i >= errIdx {
+			return
 		}
-		mu.Unlock()
-		cancel()
+		errIdx, first = i, err
+		for g, h := range held {
+			if h > i {
+				cancels[g]()
+			}
+		}
+	}
+	claim := func(worker int) (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		// Items past the failing index are moot: a serial loop never
+		// reaches them.
+		if next >= n || next > errIdx {
+			return 0, false
+		}
+		i := next
+		next++
+		held[worker] = i
+		return i, true
 	}
 
 	var wg sync.WaitGroup
 	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func(worker int) {
+	for g, wctx := range wctxs {
+		go func(worker int, wctx context.Context) {
 			defer wg.Done()
 			ran := 0
 			defer func() { m.perWorker.Observe(float64(ran)) }()
 			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
+				i, ok := claim(worker)
+				if !ok {
 					return
 				}
-				if err := cctx.Err(); err != nil {
-					mu.Lock()
-					failed := errIdx < n
-					stop := failed && i > errIdx
-					mu.Unlock()
-					if stop {
-						// Items past the failing index are moot.
-						return
-					}
-					if !failed {
-						// Cancelled from outside, not by a worker.
-						fail(i, err)
-						return
-					}
-					// i < errIdx: run it anyway — the serial loop would have
-					// reached this item before the failing one, so its error
-					// (if any) must win for error determinism.
+				if err := wctx.Err(); err != nil {
+					// Cancelled by the caller, or by a failure below i
+					// (which fail then ignores): either way i is moot.
+					fail(i, err)
+					return
 				}
-				v, err := runItem(m, cctx, worker, i, fn)
+				v, err := runItem(m, wctx, worker, i, fn)
 				ran++
 				if err != nil {
 					fail(i, err)
@@ -191,7 +219,7 @@ func Map[T any](ctx context.Context, workers, n int, fn func(ctx context.Context
 				}
 				out[i] = v
 			}
-		}(g)
+		}(g, wctx)
 	}
 	wg.Wait()
 	if errIdx < n {

@@ -85,6 +85,53 @@ func TestMapFirstErrorIsLowestIndex(t *testing.T) {
 	}
 }
 
+// TestMapFailureSparesLowerSiblings pins the other half of the
+// lowest-index contract: a failure cancels only the items above it. Item
+// 1 fails while item 0 is still in flight and item 2 blocks until it is
+// cancelled; item 0 then reports its own context's state. Had the pool
+// cancelled item 0 too, its context.Canceled — lower index — would mask
+// item 1's error, which a serial loop would have returned. The ordering
+// runs on channels alone, so the outcome does not depend on the schedule
+// or on GOMAXPROCS; item 0's bounded wait turns a pool that never cancels
+// item 2 into a failure rather than a hang.
+func TestMapFailureSparesLowerSiblings(t *testing.T) {
+	ctx, abort := context.WithCancel(context.Background())
+	defer abort()
+	errItem1 := errors.New("item 1 failed")
+	errNotCancelled := errors.New("item 2 was never cancelled")
+	started2 := make(chan struct{})
+	cancelled2 := make(chan struct{})
+	_, err := Map(ctx, 3, 3, func(ctx context.Context, i int) (int, error) {
+		switch i {
+		case 0:
+			select {
+			case <-cancelled2:
+				return 0, ctx.Err()
+			case <-time.After(10 * time.Second):
+				// Release items 1 and 2 through the caller's context so
+				// Map returns.
+				abort()
+				return 0, errNotCancelled
+			}
+		case 1:
+			select {
+			case <-started2:
+			case <-ctx.Done():
+				return 0, ctx.Err()
+			}
+			return 0, errItem1
+		default:
+			close(started2)
+			<-ctx.Done()
+			close(cancelled2)
+			return 0, ctx.Err()
+		}
+	})
+	if !errors.Is(err, errItem1) {
+		t.Fatalf("Map returned %v, want item 1's error %q", err, errItem1)
+	}
+}
+
 func TestMapCancellationStopsWork(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
